@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-stats test-stats-matrix bench bench-smoke \
 	bench-backends bench-spectral bench-hosking-blocked \
 	bench-aggregate bench-aggregate-scale bench-chunked bench-bakeoff \
-	bench-ipc
+	bench-ipc bench-transform
 
 # Statistical/property harness: seeded-randomized eq. 7 transform
 # properties, the Appendix A Hurst-invariance check, the ESS closed
@@ -63,7 +63,8 @@ bench-smoke:
 	    benchmarks/test_ablation_aggregate_scale.py \
 	    benchmarks/test_ablation_chunked.py \
 	    benchmarks/test_ablation_bakeoff.py \
-	    benchmarks/test_ablation_ipc.py -q
+	    benchmarks/test_ablation_ipc.py \
+	    benchmarks/test_ablation_transform.py -q
 
 # Backend ablation alone: Davies-Harte vs Hosking vs FARIMA through the
 # registry on a Fig. 8-sized (2^14-sample) unconditional path.
@@ -136,3 +137,13 @@ bench-bakeoff:
 bench-ipc:
 	REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_ipc.py -q
+
+# Transform ablation alone: ns/sample of the eq. 7 marginal transform
+# per family (gamma, empirical histogram, lognormal, Pareto,
+# Gamma-Pareto) on a 1024 x 2048 block and on 1000-vectors — the seed
+# formulas and the exact h against the cubic table.  Asserts >= 10x on
+# the gamma block, >= 3x on the empirical block and a max relative
+# error <= 1e-9; results land in REPRO_BENCH_JSON.
+bench-transform:
+	REPRO_BENCH_JSON=BENCH_hosking.json \
+	$(PYTHON) -m pytest benchmarks/test_ablation_transform.py -q

@@ -36,6 +36,7 @@ from .processes import registry
 from .processes.chunked import ChunkedGenerator
 from .processes.coeff_table import coefficient_cache_info
 from .processes.spectral_cache import spectral_cache_info
+from .marginals.transform import transform_table_info
 from .estimators.bakeoff import HURST_ESTIMATORS, run_bakeoff
 from .estimators.mavar import mavar_estimate
 from .estimators.rs_analysis import rs_estimate
@@ -384,6 +385,7 @@ def _write_metrics(
         "spectral_cache": dict(
             spectral_cache_info()._asdict()
         ),
+        "transform_tables": dict(transform_table_info()._asdict()),
         **extra,
     }
     with open(args.metrics_out, "w") as fh:

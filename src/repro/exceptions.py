@@ -7,6 +7,9 @@ accidentally swallowing programming errors such as :class:`TypeError`.
 
 from __future__ import annotations
 
+import os
+import sys
+
 __all__ = [
     "ReproError",
     "ValidationError",
@@ -16,6 +19,7 @@ __all__ = [
     "EstimationError",
     "SimulationError",
     "SimulationWarning",
+    "external_stacklevel",
 ]
 
 
@@ -56,3 +60,26 @@ class SimulationWarning(UserWarning):
     situations that previously degraded silently to zero-information
     estimates.
     """
+
+
+# Same spelling as the loader gives code objects' co_filename.
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def external_stacklevel() -> int:
+    """The ``stacklevel`` that points a warning at the caller of ``repro``.
+
+    Call it from the function that issues the warning and pass the result
+    to :func:`warnings.warn`.  It counts frames up to the first one whose
+    code lives outside this package, so the warning names the user's
+    line however deep the library call chain (leg runners, search loops)
+    is.
+    """
+    frame = sys._getframe(1)
+    level = 1
+    while frame is not None and frame.f_code.co_filename.startswith(
+        _PACKAGE_DIR
+    ):
+        frame = frame.f_back
+        level += 1
+    return level

@@ -24,7 +24,11 @@ from .parametric import (
     NormalDistribution,
     ParetoDistribution,
 )
-from .transform import MarginalTransform
+from .transform import (
+    MarginalTransform,
+    clear_transform_tables,
+    transform_table_info,
+)
 
 __all__ = [
     "MarginalDistribution",
@@ -35,6 +39,8 @@ __all__ = [
     "LognormalDistribution",
     "NormalDistribution",
     "MarginalTransform",
+    "transform_table_info",
+    "clear_transform_tables",
     "analytic_attenuation",
     "measured_attenuation",
     "transformed_acf",

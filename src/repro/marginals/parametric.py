@@ -2,8 +2,10 @@
 
 All distributions implement the small :class:`MarginalDistribution`
 interface consumed by :class:`~repro.marginals.transform.MarginalTransform`:
-a CDF, an inverse CDF (``ppf``), and first moments.  Included are the
-distributions the VBR video literature actually uses:
+a CDF and its survival side, an inverse CDF (``ppf``) and inverse
+survival function (``isf``), a density, the quantile levels where the
+inverse CDF has a kink (``breakpoints``), and first moments.  Included
+are the distributions the VBR video literature actually uses:
 
 - Gamma — body of the frame-size distribution (Garrett & Willinger '94),
 - Pareto — the heavy tail responsible for the "long tail ... far from
@@ -16,7 +18,7 @@ distributions the VBR video literature actually uses:
 from __future__ import annotations
 
 import abc
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy import stats
@@ -37,7 +39,16 @@ ArrayLike = Union[float, np.ndarray]
 
 
 class MarginalDistribution(abc.ABC):
-    """Minimal distribution interface for marginal modeling."""
+    """Minimal distribution interface for marginal modeling.
+
+    Subclasses must provide ``cdf``, ``ppf``, ``mean`` and
+    ``variance``.  ``sf`` and ``isf`` default to ``1 - cdf`` and
+    ``ppf(1 - q)``; override them where the upper tail can be evaluated
+    without that cancellation.  A subclass that also implements ``pdf``
+    and ``_table_key`` has its eq. 7 transform served from a
+    precomputed table (see :mod:`repro.marginals.transform`); otherwise
+    the transform evaluates it exactly.
+    """
 
     @abc.abstractmethod
     def cdf(self, x: ArrayLike) -> ArrayLike:
@@ -46,6 +57,37 @@ class MarginalDistribution(abc.ABC):
     @abc.abstractmethod
     def ppf(self, q: ArrayLike) -> ArrayLike:
         """Inverse CDF (quantile function) for ``q`` in [0, 1]."""
+
+    def sf(self, x: ArrayLike) -> ArrayLike:
+        """Survival function ``1 - F(x)``."""
+        return 1.0 - np.asarray(self.cdf(x), dtype=float)
+
+    def isf(self, q: ArrayLike) -> ArrayLike:
+        """Inverse survival function: the ``x`` with ``P(X > x) = q``."""
+        return self.ppf(1.0 - np.asarray(q, dtype=float))
+
+    def pdf(self, x: ArrayLike) -> ArrayLike:
+        """Probability density function."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement pdf"
+        )
+
+    def breakpoints(self) -> np.ndarray:
+        """Quantile levels in (0, 1) where ``ppf`` is not smooth.
+
+        The transform's table splits its cell at each such level (or
+        evaluates ``h`` exactly there) instead of interpolating across a
+        kink or a jump.  Default: none.
+        """
+        return np.empty(0)
+
+    def _table_key(self) -> Optional[tuple]:
+        """Hashable identity of the law, or None to skip the h table.
+
+        Two distributions with equal keys (and equal types) must have
+        the same ``ppf``, ``isf`` and ``pdf``.
+        """
+        return None
 
     @property
     @abc.abstractmethod
@@ -73,6 +115,18 @@ class _ScipyBacked(MarginalDistribution):
 
     def ppf(self, q: ArrayLike) -> ArrayLike:
         return self._dist.ppf(q)
+
+    def sf(self, x: ArrayLike) -> ArrayLike:
+        return self._dist.sf(x)
+
+    def isf(self, q: ArrayLike) -> ArrayLike:
+        return self._dist.isf(q)
+
+    def pdf(self, x: ArrayLike) -> ArrayLike:
+        return self._dist.pdf(x)
+
+    def _table_key(self) -> tuple:
+        return (self._dist.args, tuple(sorted(self._dist.kwds.items())))
 
     @property
     def mean(self) -> float:
@@ -197,6 +251,24 @@ class GammaParetoDistribution(MarginalDistribution):
         out = np.where(x_arr <= self.splice_point, body, tail)
         return float(out) if np.isscalar(x) else out
 
+    def sf(self, x: ArrayLike) -> ArrayLike:
+        x_arr = np.asarray(x, dtype=float)
+        body = np.asarray(self.gamma.sf(x_arr), dtype=float)
+        tail = self._tail_mass * np.asarray(
+            self._pareto.sf(x_arr), dtype=float
+        )
+        out = np.where(x_arr <= self.splice_point, body, tail)
+        return float(out) if np.isscalar(x) else out
+
+    def pdf(self, x: ArrayLike) -> ArrayLike:
+        x_arr = np.asarray(x, dtype=float)
+        body = np.asarray(self.gamma.pdf(x_arr), dtype=float)
+        tail = self._tail_mass * np.asarray(
+            self._pareto.pdf(x_arr), dtype=float
+        )
+        out = np.where(x_arr <= self.splice_point, body, tail)
+        return float(out) if np.isscalar(x) else out
+
     def ppf(self, q: ArrayLike) -> ArrayLike:
         q_arr = np.asarray(q, dtype=float)
         body = np.asarray(self.gamma.ppf(np.minimum(q_arr, self._body_mass)))
@@ -206,6 +278,32 @@ class GammaParetoDistribution(MarginalDistribution):
         tail = np.asarray(self._pareto.ppf(tail_q), dtype=float)
         out = np.where(q_arr <= self._body_mass, body, tail)
         return float(out) if np.isscalar(q) else out
+
+    def isf(self, q: ArrayLike) -> ArrayLike:
+        # Above the splice the upper tail mass is tail_mass x the
+        # Pareto survival; below it, 1 - F is the Gamma survival.
+        q_arr = np.asarray(q, dtype=float)
+        body = np.asarray(self.gamma.isf(np.maximum(q_arr, self._tail_mass)))
+        tail = np.asarray(
+            self._pareto.isf(
+                np.clip(q_arr / max(self._tail_mass, 1e-300), 0.0, 1.0)
+            ),
+            dtype=float,
+        )
+        out = np.where(q_arr >= self._tail_mass, body, tail)
+        return float(out) if np.isscalar(q) else out
+
+    def breakpoints(self) -> np.ndarray:
+        """The splice quantile, where the Pareto tail takes over."""
+        return np.array([self.splice_quantile])
+
+    def _table_key(self) -> tuple:
+        return (
+            self.gamma.shape,
+            self.gamma.scale,
+            self.tail_alpha,
+            self.splice_quantile,
+        )
 
     @property
     def mean(self) -> float:

@@ -37,7 +37,12 @@ from .._validation import (
     check_positive_float,
     check_positive_int,
 )
-from ..exceptions import SimulationError, SimulationWarning, ValidationError
+from ..exceptions import (
+    SimulationError,
+    SimulationWarning,
+    ValidationError,
+    external_stacklevel,
+)
 from ..observability import ensure_context
 from ..processes import registry
 from ..processes.correlation import CorrelationModel
@@ -272,7 +277,7 @@ class TwistedBackground:
                     f"{self._process.horizon}; further steps carry no "
                     "information",
                     SimulationWarning,
-                    stacklevel=2,
+                    stacklevel=external_stacklevel(),
                 )
         return remaining
 
@@ -450,7 +455,7 @@ def is_overflow_probability(
             "increase replications or move the twist toward the "
             "variance valley",
             SimulationWarning,
-            stacklevel=2,
+            stacklevel=external_stacklevel(),
         )
     return ISEstimate(
         probability=probability,

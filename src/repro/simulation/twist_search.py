@@ -37,7 +37,12 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .._validation import check_1d_array, check_positive_int
-from ..exceptions import SimulationError, SimulationWarning, ValidationError
+from ..exceptions import (
+    SimulationError,
+    SimulationWarning,
+    ValidationError,
+    external_stacklevel,
+)
 from ..observability import ensure_context
 from ..processes.coeff_table import (
     CoefficientTable,
@@ -392,7 +397,7 @@ def _evaluate_twist(
             f"overflow hits in {n} replications (horizon {k}, buffer "
             f"{b:g}); the zero estimate carries no information",
             SimulationWarning,
-            stacklevel=3,
+            stacklevel=external_stacklevel(),
         )
     return ISEstimate(
         probability=probability,

@@ -411,6 +411,30 @@ class TestProcessInvariance:
             np.testing.assert_array_equal(feed.arrivals, reference)
             assert feed.processes == processes
 
+    def test_tabled_marginals_bit_identical_pooled(self):
+        # Gamma and empirical-histogram classes go through the h table;
+        # each worker builds (or inherits) its own copy, which must be
+        # bitwise the parent's.
+        from repro.marginals.empirical import EmpiricalDistribution
+
+        data = np.random.default_rng(5).gamma(2.0, 40.0, size=3000)
+        population = SourcePopulation([
+            SourceClass(
+                "gamma", correlation=0.8,
+                marginal=GammaDistribution(3.0, 1.5), count=5,
+            ),
+            SourceClass(
+                "fitted", correlation=0.7,
+                marginal=EmpiricalDistribution(data), count=6,
+            ),
+        ])
+        engine = ShardedAggregateModel(population, batch_size=2)
+        reference = engine.generate(64, random_state=13).arrivals
+        for processes in (1, 2, 7):
+            feed = engine.generate(64, processes=processes, random_state=13)
+            np.testing.assert_array_equal(feed.arrivals, reference)
+            assert feed.processes == processes
+
     def test_processes_cross_shards_matrix(self, mixed_population):
         engine = ShardedAggregateModel(mixed_population, batch_size=4)
         reference = engine.generate(96, random_state=7).arrivals

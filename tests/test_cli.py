@@ -420,6 +420,10 @@ class TestSpectralCacheColdWarm:
         for key in ("hits", "misses", "extensions", "evictions",
                     "eigenvalue_builds", "tables"):
             assert key in snapshot
+        # The fitted histogram marginal is served from an h table.
+        tables = header["transform_tables"]
+        assert set(tables) == {"tables", "builds", "hits", "evictions"}
+        assert tables["tables"] >= 1
 
 
 class TestSimulateAggregateProcesses:

@@ -133,3 +133,53 @@ class TestEstimatorOutcomes:
                 random_state=42,
             )
         assert 0 < estimate.hits < estimate.replications
+
+
+class TestWarningLocation:
+    """SimulationWarnings name the caller's line, not a library frame."""
+
+    def test_zero_hit_through_leg_runner_names_this_file(self):
+        from functools import partial
+
+        from repro.simulation.parallel import run_legs
+
+        leg = partial(
+            is_overflow_probability,
+            CORR,
+            lambda x: x + 0.01,
+            service_rate=5.0,
+            buffer_size=50.0,
+            horizon=10,
+            twisted_mean=0.0,
+            replications=20,
+            random_state=1,
+        )
+        with pytest.warns(SimulationWarning, match="0 overflow hits") as rec:
+            run_legs([leg], workers=1)
+        assert [w.filename for w in rec] == [__file__]
+
+    def test_retirement_warning_names_this_file(self):
+        bg = TwistedBackground(
+            CORR, 20, twisted_mean=1.0, size=2, random_state=0,
+        )
+        bg.step()
+        with pytest.warns(SimulationWarning) as rec:
+            bg.retire(np.array([0, 1]))
+        assert [w.filename for w in rec] == [__file__]
+
+    def test_shared_path_sweep_names_this_file(self):
+        from repro.simulation.twist_search import search_twisted_mean
+
+        with pytest.warns(SimulationWarning, match="0 overflow hits") as rec:
+            search_twisted_mean(
+                CORR,
+                lambda x: x + 0.01,
+                service_rate=5.0,
+                buffer_size=50.0,
+                horizon=10,
+                twist_values=[0.0],
+                replications=20,
+                random_state=1,
+                shared_paths=True,
+            )
+        assert rec and {w.filename for w in rec} == {__file__}

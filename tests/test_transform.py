@@ -2,15 +2,22 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from repro.exceptions import ValidationError
 from repro.marginals.empirical import EmpiricalDistribution
 from repro.marginals.parametric import (
     GammaDistribution,
+    GammaParetoDistribution,
+    LognormalDistribution,
     NormalDistribution,
+    ParetoDistribution,
 )
-from repro.marginals.transform import MarginalTransform
+from repro.marginals.transform import (
+    MarginalTransform,
+    clear_transform_tables,
+    transform_table_info,
+)
 
 
 class TestMarginalTransform:
@@ -81,19 +88,17 @@ class TestMarginalTransform:
 
 
 class TestFastPaths:
-    """Closed-form fast paths of the aggregate engine's hot loop."""
+    """The affine normal form and the table's tolerance contract."""
 
-    def test_gamma_fast_path_bitwise_matches_frozen_scipy(self):
-        # The direct gammaincinv(shape, ndtr(x)) * scale ufunc chain
-        # must reproduce the frozen-distribution roundtrip bit for bit
-        # — this is the pin that lets the engine skip scipy's per-call
-        # dispatch without changing any generated feed.
+    def test_gamma_table_matches_exact_h(self):
+        # The table replaces the bitwise gammaincinv(shape, ndtr(x))
+        # path; the contract is now 1e-9 relative against the exact h.
         target = GammaDistribution(4.0, 0.5)
         tr = MarginalTransform(target)
         x = np.random.default_rng(3).normal(size=(4, 257))
+        np.testing.assert_allclose(tr(x), tr.exact(x), rtol=1e-9, atol=0)
         u = np.clip(stats.norm.cdf(x), 1e-300, float(np.nextafter(1, 0)))
-        legacy = target.ppf(u)
-        np.testing.assert_array_equal(tr(x), legacy)
+        np.testing.assert_allclose(tr(x), target.ppf(u), rtol=1e-9, atol=0)
 
     def test_normal_fast_path_is_affine(self):
         target = NormalDistribution(10.0, 2.5)
@@ -113,14 +118,16 @@ class TestFastPaths:
         np.testing.assert_array_equal(tr(x), x)
         assert np.all(np.isfinite(tr(x)))
 
-    def test_generic_path_still_used_for_empirical(self):
+    def test_empirical_table_matches_exact_h(self):
+        # The histogram inversion goes through the same table as the
+        # parametric families, within 1e-9 of ppf(Phi(x)).
         values = np.random.default_rng(11).gamma(3.0, 1.0, size=500)
         target = EmpiricalDistribution(values)
         tr = MarginalTransform(target)
-        assert tr._fast == "generic"
         x = np.linspace(-3, 3, 64)
         u = np.clip(stats.norm.cdf(x), 1e-300, float(np.nextafter(1, 0)))
-        np.testing.assert_array_equal(tr(x), target.ppf(u))
+        np.testing.assert_allclose(tr(x), target.ppf(u), rtol=1e-9, atol=0)
+        np.testing.assert_allclose(tr(x), tr.exact(x), rtol=1e-9, atol=0)
 
     def test_scalar_inputs_keep_float_semantics(self):
         tr = MarginalTransform(GammaDistribution(2.0, 1.5))
@@ -129,3 +136,161 @@ class TestFastPaths:
         tr_norm = MarginalTransform(NormalDistribution(1.0, 2.0))
         assert isinstance(tr_norm(0.0), float)
         assert tr_norm(0.0) == pytest.approx(1.0)
+
+
+#: Background values |x| <= 8, the range the closed forms are checked on.
+X_WIDE = np.linspace(-8.0, 8.0, 4001)
+
+
+def _closed_forms():
+    # (target, h(x) in closed form, evaluated without cancellation).
+    lower = X_WIDE <= 0
+    upper_tail = special.ndtr(-X_WIDE)
+    log_upper = np.where(
+        lower,
+        np.log1p(-special.ndtr(X_WIDE)),
+        np.log(upper_tail),
+    )
+    return [
+        pytest.param(
+            LognormalDistribution(1.0, 2.0),
+            np.exp(1.0 + 2.0 * X_WIDE),
+            id="lognormal",
+        ),
+        pytest.param(
+            ParetoDistribution(1.2, 2.0),
+            2.0 * np.exp(-log_upper / 1.2),
+            id="pareto",
+        ),
+        pytest.param(
+            GammaDistribution(1.0, 3.0),
+            -3.0 * log_upper,
+            id="gamma-shape-1",
+        ),
+    ]
+
+
+class TestClosedForms:
+    """Exact h to 1e-12 and the table to 1e-9 against closed forms."""
+
+    @pytest.mark.parametrize("target, expected", _closed_forms())
+    def test_exact_path(self, target, expected):
+        tr = MarginalTransform(target)
+        np.testing.assert_allclose(
+            tr.exact(X_WIDE), expected, rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("target, expected", _closed_forms())
+    def test_table_path(self, target, expected):
+        tr = MarginalTransform(target)
+        np.testing.assert_allclose(tr(X_WIDE), expected, rtol=1e-9, atol=0)
+
+    def test_right_tail_does_not_saturate(self):
+        tr = MarginalTransform(GammaDistribution(2.0, 1.0))
+        x = np.linspace(8.0, 30.0, 200)
+        y = tr(x)
+        assert np.all(np.isfinite(y))
+        assert np.all(np.diff(y) > 0)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            GammaDistribution(2.0, 1.0),
+            LognormalDistribution(0.0, 1.5),
+            GammaParetoDistribution(2.0, 1.0, 1.5),
+        ],
+        ids=["gamma", "lognormal", "gamma-pareto"],
+    )
+    def test_inverse_is_symmetric_in_both_tails(self, target):
+        tr = MarginalTransform(target)
+        np.testing.assert_allclose(
+            tr.inverse(tr.exact(X_WIDE)), X_WIDE, rtol=0, atol=1e-8
+        )
+
+
+def _sample_targets():
+    rng = np.random.default_rng(21)
+    return [
+        GammaDistribution(0.7, 2.0),
+        GammaParetoDistribution(3.0, 1.0, 1.4),
+        EmpiricalDistribution(rng.gamma(2.0, 100.0, size=3000)),
+    ]
+
+
+class TestTableIdentity:
+    """The table is elementwise and a pure function of the law."""
+
+    @pytest.mark.parametrize("target", _sample_targets())
+    def test_block_equals_row_by_row(self, target):
+        tr = MarginalTransform(target)
+        # Longer than one evaluation chunk, with tails past the range.
+        x = 2.5 * np.random.default_rng(8).normal(size=(3, 9001))
+        block = tr(x)
+        rows = np.stack([tr(row) for row in x])
+        np.testing.assert_array_equal(block, rows)
+        single = np.array([tr(float(v)) for v in x[0, :300]])
+        np.testing.assert_array_equal(block[0, :300], single)
+
+    @pytest.mark.parametrize("target", _sample_targets())
+    def test_fresh_table_is_bitwise_the_same(self, target):
+        x = np.random.default_rng(9).normal(size=5000)
+        first = MarginalTransform(target)(x)
+        clear_transform_tables()
+        np.testing.assert_array_equal(MarginalTransform(target)(x), first)
+
+    def test_nonfinite_inputs_follow_the_exact_path(self):
+        tr = MarginalTransform(GammaDistribution(2.0, 1.0))
+        y = tr(np.array([np.nan, -np.inf, np.inf, 0.0]))
+        assert np.isnan(y[0])
+        # The tail probability is floored at 1e-300, so h(-inf) is the
+        # (tiny) quantile there rather than the support's edge.
+        assert 0.0 <= y[1] < 1e-100
+        assert np.isfinite(y[2]) and y[2] > 100.0
+        assert y[3] == pytest.approx(float(tr.exact(0.0)), rel=1e-12)
+
+
+class TestTableCache:
+    def test_one_build_per_law(self):
+        clear_transform_tables()
+        target = GammaDistribution(3.0, 2.0)
+        x = np.linspace(-2, 2, 9)
+        MarginalTransform(target)(x)
+        MarginalTransform(GammaDistribution(3.0, 2.0))(x)
+        tr = MarginalTransform(target)
+        for _ in range(3):
+            tr(x)
+        info = transform_table_info()
+        assert (info.tables, info.builds, info.hits) == (1, 1, 2)
+
+    def test_normal_target_builds_no_table(self):
+        clear_transform_tables()
+        MarginalTransform(NormalDistribution(1.0, 2.0))(np.zeros(4))
+        assert transform_table_info().builds == 0
+
+    def test_pickled_transform_carries_no_table(self):
+        import pickle
+
+        from repro.core.aggregate import SourceClass
+
+        data = np.random.default_rng(4).gamma(2.0, 50.0, size=2000)
+        klass = SourceClass(
+            "fitted",
+            correlation=0.8,
+            marginal=EmpiricalDistribution(data),
+            count=3,
+        )
+        before = len(pickle.dumps(klass))
+        klass.transform(np.zeros(8))
+        assert len(pickle.dumps(klass)) == before
+        clone = pickle.loads(pickle.dumps(klass))
+        np.testing.assert_array_equal(
+            clone.transform(np.linspace(-3, 3, 50)),
+            klass.transform(np.linspace(-3, 3, 50)),
+        )
+
+    def test_too_many_breakpoints_evaluates_exactly(self):
+        data = np.random.default_rng(6).gamma(2.0, 50.0, size=20_000)
+        target = EmpiricalDistribution(data, method="exact")
+        tr = MarginalTransform(target)
+        x = np.linspace(-3, 3, 101)
+        np.testing.assert_array_equal(tr(x), tr.exact(x))

@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test test-stats test-stats-matrix bench bench-smoke \
 	bench-backends bench-spectral bench-hosking-blocked \
 	bench-aggregate bench-aggregate-scale bench-chunked bench-bakeoff \
-	bench-ipc bench-transform
+	bench-ipc bench-transform bench-aggregate-marginal
 
 # Statistical/property harness: seeded-randomized eq. 7 transform
 # properties, the Appendix A Hurst-invariance check, the ESS closed
@@ -50,7 +50,8 @@ bench:
 # loop at the acceptance workload and a < 2% block_size=1 bypass
 # overhead; the bake-off bench snapshots the cross-estimator
 # bias/RMSE matrix and asserts MAVAR beats R/S and variance-time plus
-# the < 2% metrics-off overhead bound.
+# the < 2% metrics-off overhead bound; the aggregate-marginal bench
+# asserts < 1 s per N up to 10^6 sources and O(log N) growth.
 bench-smoke:
 	REPRO_BENCH_SCALE=0.2 REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_hosking_batch.py \
@@ -64,7 +65,8 @@ bench-smoke:
 	    benchmarks/test_ablation_chunked.py \
 	    benchmarks/test_ablation_bakeoff.py \
 	    benchmarks/test_ablation_ipc.py \
-	    benchmarks/test_ablation_transform.py -q
+	    benchmarks/test_ablation_transform.py \
+	    benchmarks/test_ablation_aggregate_marginal.py -q
 
 # Backend ablation alone: Davies-Harte vs Hosking vs FARIMA through the
 # registry on a Fig. 8-sized (2^14-sample) unconditional path.
@@ -147,3 +149,11 @@ bench-ipc:
 bench-transform:
 	REPRO_BENCH_JSON=BENCH_hosking.json \
 	$(PYTHON) -m pytest benchmarks/test_ablation_transform.py -q
+
+# Aggregate-marginal ablation alone: ms of the FFT doubling convolution
+# of the fitted empirical law at N = 256, 2000 and 10^6 (min of 5).
+# Asserts < 1 s per N and N = 10^6 <= 10x N = 256 (cost grows with
+# log N); results land in REPRO_BENCH_JSON.
+bench-aggregate-marginal:
+	REPRO_BENCH_JSON=BENCH_hosking.json \
+	$(PYTHON) -m pytest benchmarks/test_ablation_aggregate_marginal.py -q

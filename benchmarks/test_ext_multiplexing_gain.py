@@ -29,9 +29,7 @@ def test_ext_multiplexing_gain(benchmark, unified_model, emit):
     def run_all():
         table = {}
         for n in SOURCES:
-            aggregate = AggregateVBRModel(
-                unified_model, n, random_state=50 + n
-            )
+            aggregate = AggregateVBRModel(unified_model, n)
             arrivals = aggregate.arrival_transform()
             estimates = []
             for i, b in enumerate(BUFFER_SIZES):

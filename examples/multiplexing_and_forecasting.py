@@ -46,7 +46,7 @@ def main() -> None:
           f"normalized buffer {BUFFER_SIZE:.0f}:")
     print("  sources   attenuation a   log10 P(Q > b)")
     for n in (1, 4, 16):
-        aggregate = AggregateVBRModel(model, n, random_state=33)
+        aggregate = AggregateVBRModel(model, n)
         estimate = is_overflow_probability(
             aggregate.background_correlation,
             aggregate.arrival_transform(),

@@ -42,7 +42,7 @@ from .estimators.mavar import mavar_estimate
 from .estimators.rs_analysis import rs_estimate
 from .estimators.variance_time import variance_time_estimate
 from .estimators.whittle import whittle_estimate
-from .exceptions import ReproError
+from .exceptions import ReproError, SimulationError
 from .queueing.capacity import (
     admissible_sources,
     bufferless_loss_gaussian,
@@ -443,18 +443,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     extra = 1 if args.chunk_frames else 0
     if args.num_sources > 1:
         spawned = spawn_rngs(args.seed, 4 + extra)
-        rng_search, rng_curve, rng_agg, rng_feed = spawned[:4]
-        aggregate = AggregateVBRModel(
-            model, args.num_sources, random_state=rng_agg
-        )
-        transform = aggregate.arrival_transform()
-        correlation = aggregate.background_correlation
+        # The third child is unused; it stays spawned so that rng_feed
+        # keeps its stream.
+        rng_search, rng_curve, _, rng_feed = spawned[:4]
+        aggregate = AggregateVBRModel(model, args.num_sources)
+        source = aggregate
         print(f"aggregate: {aggregate!r}")
     else:
         spawned = spawn_rngs(args.seed, 2 + extra)
         rng_search, rng_curve = spawned[:2]
-        transform = model.arrival_transform()
-        correlation = model.background_correlation
+        source = model
+    transform = source.arrival_transform()
+    correlation = source.background_correlation
     rng_chunk = spawned[-1] if extra else None
 
     mu = service_rate_for_utilization(1.0, args.utilization)
@@ -497,7 +497,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             + f"{estimate.hits:>8d}"
             + f"{estimate.ess:>10.1f}"
         )
-    best = search.best_twist
+    try:
+        best = search.best_twist
+    except SimulationError as exc:
+        raise _twist_grid_error(args, source, mu, search_buffer) from exc
     print(f"favorable twist: m* = {best:g} "
           f"(variance reduction vs m*=0: "
           f"{search.variance_reduction_vs(0):.3g}x)")
@@ -544,6 +547,54 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         replications=args.replications,
     )
     return 0
+
+
+def _twist_grid_error(
+    args: argparse.Namespace, source, service_rate: float, buffer_size: float
+) -> SimulationError:
+    """Say which ``--twists`` grid could get overflow hits.
+
+    Unit-mean arrivals ``h(x) / mean`` reach the service rate at the
+    background level ``x* = h^{-1}(service_rate x mean)``.  A path fills
+    the scan's buffer within its horizon only where the arrivals exceed
+    the service rate by ``buffer / horizon``; twisted means up to that
+    level are what make overflow paths common.
+    """
+    horizon = max(int(args.horizon_factor * buffer_size), 1)
+    mean = source.marginal_.mean
+    inverse = source.transform_.inverse
+    x_star = float(inverse(service_rate * mean))
+    fill_rate = service_rate + buffer_size / horizon
+    x_fill = float(inverse(fill_rate * mean))
+    grid = " ".join(f"{m:g}" for m in args.twists)
+    message = (
+        f"no twist in --twists {grid} produced a finite normalized "
+        "variance (no overflow hits at any grid point); "
+    )
+    if not np.isfinite(x_star):
+        return SimulationError(
+            message + "the arrivals never reach the service rate "
+            f"{service_rate:.4g}, so overflow is impossible: lower "
+            "--utilization or --num-sources"
+        )
+    message += (
+        f"the arrivals reach the service rate {service_rate:.4g} at "
+        f"background level x* = {x_star:.3g}"
+    )
+    top = max(np.ceil(x_fill if np.isfinite(x_fill) else x_star) + 1.0, 1.0)
+    suggestion = " ".join(f"{m:g}" for m in np.linspace(0.0, top, 5))
+    if not np.isfinite(x_fill):
+        return SimulationError(
+            message + f", but never the rate {fill_rate:.4g} that fills "
+            f"buffer {buffer_size:g} within horizon {horizon}: raise "
+            "--horizon-factor (or lower --utilization or --num-sources) "
+            f"and use a grid past x*, e.g. --twists {suggestion}"
+        )
+    return SimulationError(
+        message + f" and fill buffer {buffer_size:g} within horizon "
+        f"{horizon} above x = {x_fill:.3g}; use a grid that reaches it, "
+        f"e.g. --twists {suggestion}"
+    )
 
 
 def _print_capacity_panel(

@@ -64,6 +64,13 @@ class SimulationWarning(UserWarning):
 
 # Same spelling as the loader gives code objects' co_filename.
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+_MAIN_SHIM = _PACKAGE_DIR + "__main__.py"
+
+
+def _is_bootstrap(frame) -> bool:
+    """Interpreter start-up code (``<frozen runpy>``) or ``repro/__main__``."""
+    filename = frame.f_code.co_filename
+    return filename.startswith("<frozen") or filename == _MAIN_SHIM
 
 
 def external_stacklevel() -> int:
@@ -73,13 +80,19 @@ def external_stacklevel() -> int:
     to :func:`warnings.warn`.  It counts frames up to the first one whose
     code lives outside this package, so the warning names the user's
     line however deep the library call chain (leg runners, search loops)
-    is.
+    is.  Under ``python -m repro`` there is no user frame: the walk then
+    stops at the outermost package frame below the interpreter's
+    bootstrap, so the warning names ``repro/cli.py``, not
+    ``<frozen runpy>``.
     """
     frame = sys._getframe(1)
     level = 1
     while frame is not None and frame.f_code.co_filename.startswith(
         _PACKAGE_DIR
     ):
-        frame = frame.f_back
+        outer = frame.f_back
+        if outer is not None and _is_bootstrap(outer):
+            return level
+        frame = outer
         level += 1
     return level

@@ -14,7 +14,7 @@ from .attenuation import (
     measured_attenuation,
     transformed_acf,
 )
-from .empirical import EmpiricalDistribution
+from .empirical import EmpiricalDistribution, HistogramDistribution
 from .fitting import fit_gamma, fit_gamma_pareto, fit_pareto_tail
 from .parametric import (
     GammaDistribution,
@@ -33,6 +33,7 @@ from .transform import (
 __all__ = [
     "MarginalDistribution",
     "EmpiricalDistribution",
+    "HistogramDistribution",
     "GammaDistribution",
     "ParetoDistribution",
     "GammaParetoDistribution",

@@ -7,7 +7,8 @@ inversion flavours are provided:
 - ``method="histogram"`` — the paper's histogram-based technique: the
   CDF is piecewise linear across histogram bins, so the inverse spreads
   samples uniformly within each bin (smooth output, no repeated
-  values).
+  values).  That law on its own is :class:`HistogramDistribution`; the
+  aggregate marginal of :mod:`repro.core.multiplex` is one as well.
 - ``method="exact"`` — straight ECDF inversion, i.e. the quantile
   function of the raw samples (output values are a resampling of the
   observed ones).
@@ -20,14 +21,140 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .._validation import check_min_length, check_positive_int
+from .._validation import check_1d_array, check_min_length, check_positive_int
 from ..exceptions import ValidationError
 from ..stats.histogram import Histogram, frequency_histogram
 from .parametric import MarginalDistribution
 
-__all__ = ["EmpiricalDistribution"]
+__all__ = ["EmpiricalDistribution", "HistogramDistribution"]
 
 ArrayLike = Union[float, np.ndarray]
+
+
+def _piecewise_density(
+    knots: np.ndarray, mass: np.ndarray, x: ArrayLike
+) -> ArrayLike:
+    """Density of ``mass[k]`` spread uniformly over ``knots[k:k+2]``."""
+    x_arr = np.asarray(x, dtype=float)
+    k = np.searchsorted(knots, x_arr, side="right") - 1
+    inside = (k >= 0) & (k < mass.size)
+    k = np.clip(k, 0, mass.size - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        density = mass[k] / (knots[k + 1] - knots[k])
+    out = np.where(inside, density, 0.0)
+    return float(out) if np.isscalar(x) else out
+
+
+class HistogramDistribution(MarginalDistribution):
+    """Law with a piecewise-linear CDF over histogram bins.
+
+    Mass ``masses[k]`` is spread uniformly over
+    ``[edges[k], edges[k + 1]]``, so ``ppf`` is the paper's histogram
+    inversion (eq. 7).  ``mean`` and ``variance`` are this law's own
+    moments, not those of the samples the bins were counted from.
+
+    Parameters
+    ----------
+    edges:
+        Strictly increasing bin edges, one more than ``masses``.
+    masses:
+        Non-negative bin masses summing to 1 (within 1e-9; they are
+        used as given, not renormalized).
+    """
+
+    def __init__(
+        self, edges: Sequence[float], masses: Sequence[float]
+    ) -> None:
+        edges = check_1d_array(edges, "edges").copy()
+        masses = check_1d_array(masses, "masses").copy()
+        if edges.size != masses.size + 1:
+            raise ValidationError(
+                "edges must have exactly one more entry than masses, got "
+                f"{edges.size} edges and {masses.size} masses"
+            )
+        if np.any(np.diff(edges) <= 0):
+            raise ValidationError("edges must be strictly increasing")
+        if np.any(masses < 0):
+            raise ValidationError("masses must be non-negative")
+        total = float(masses.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"masses must sum to 1, got {total!r}")
+        self._edges = edges
+        self._masses = masses
+        cum = np.concatenate([[0.0], np.cumsum(masses)])
+        cum[-1] = 1.0
+        # Upper-tail mass summed from the top, so the survival knots
+        # keep full relative precision where the CDF rounds toward 1.
+        upper = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
+        upper[0] = 1.0
+        self._cdf_y = cum
+        self._sf_y = upper
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The bin edges (a copy)."""
+        return self._edges.copy()
+
+    @property
+    def masses(self) -> np.ndarray:
+        """The bin masses (a copy)."""
+        return self._masses.copy()
+
+    @property
+    def mean(self) -> float:
+        centers = 0.5 * (self._edges[:-1] + self._edges[1:])
+        return float(self._masses @ centers)
+
+    @property
+    def variance(self) -> float:
+        centers = 0.5 * (self._edges[:-1] + self._edges[1:])
+        widths = np.diff(self._edges)
+        spread = centers - self.mean
+        return float(self._masses @ (spread * spread + widths * widths / 12.0))
+
+    def cdf(self, x: ArrayLike) -> ArrayLike:
+        out = np.interp(
+            np.asarray(x, dtype=float), self._edges, self._cdf_y,
+            left=0.0, right=1.0,
+        )
+        return float(out) if np.isscalar(x) else np.asarray(out, dtype=float)
+
+    def sf(self, x: ArrayLike) -> ArrayLike:
+        out = np.interp(
+            np.asarray(x, dtype=float), self._edges, self._sf_y,
+            left=1.0, right=0.0,
+        )
+        return float(out) if np.isscalar(x) else np.asarray(out, dtype=float)
+
+    def pdf(self, x: ArrayLike) -> ArrayLike:
+        """The bin's mass over its width (zero outside the bins)."""
+        return _piecewise_density(self._edges, np.diff(self._cdf_y), x)
+
+    def ppf(self, q: ArrayLike) -> ArrayLike:
+        q_arr = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
+        out = np.interp(q_arr, self._cdf_y, self._edges)
+        return float(out) if np.isscalar(q) else np.asarray(out, dtype=float)
+
+    def isf(self, q: ArrayLike) -> ArrayLike:
+        q_arr = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
+        out = np.interp(q_arr, self._sf_y[::-1], self._edges[::-1])
+        return float(out) if np.isscalar(q) else np.asarray(out, dtype=float)
+
+    def breakpoints(self) -> np.ndarray:
+        """The cumulative masses at the interior bin edges."""
+        return np.unique(self._cdf_y[1:-1])
+
+    def _table_key(self) -> tuple:
+        digest = hashlib.blake2b(digest_size=16)
+        digest.update(self._edges.tobytes())
+        digest.update(self._masses.tobytes())
+        return ("histogram", digest.digest())
+
+    def __repr__(self) -> str:
+        return (
+            f"HistogramDistribution(bins={self._masses.size}, "
+            f"range=[{self._edges[0]:.6g}, {self._edges[-1]:.6g}])"
+        )
 
 
 class EmpiricalDistribution(MarginalDistribution):
@@ -59,18 +186,9 @@ class EmpiricalDistribution(MarginalDistribution):
         self.method = method
         self.bins = check_positive_int(bins, "bins")
         self._histogram = frequency_histogram(self._samples, bins=self.bins)
-        edges = self._histogram.edges
-        freq = self._histogram.frequencies
-        cum = np.concatenate([[0.0], np.cumsum(freq)])
-        cum[-1] = 1.0
-        # Upper-tail mass summed from the top, so the survival knots
-        # keep full relative precision where the CDF rounds toward 1.
-        upper = np.concatenate([np.cumsum(freq[::-1])[::-1], [0.0]])
-        upper[0] = 1.0
-        # Piecewise-linear CDF knots: (edges, cumulative mass).
-        self._cdf_x = edges
-        self._cdf_y = cum
-        self._sf_y = upper
+        self._law = HistogramDistribution(
+            self._histogram.edges, self._histogram.frequencies
+        )
 
     @property
     def samples(self) -> np.ndarray:
@@ -83,6 +201,11 @@ class EmpiricalDistribution(MarginalDistribution):
         return self._histogram
 
     @property
+    def histogram_law(self) -> HistogramDistribution:
+        """The piecewise-linear-CDF law that ``method="histogram"`` inverts."""
+        return self._law
+
+    @property
     def mean(self) -> float:
         return float(self._samples.mean())
 
@@ -92,27 +215,23 @@ class EmpiricalDistribution(MarginalDistribution):
 
     def cdf(self, x: ArrayLike) -> ArrayLike:
         """Evaluate the (histogram or exact) empirical CDF."""
-        x_arr = np.asarray(x, dtype=float)
         if self.method == "histogram":
-            out = np.interp(
-                x_arr, self._cdf_x, self._cdf_y, left=0.0, right=1.0
-            )
-        else:
-            out = np.searchsorted(
-                self._samples, x_arr, side="right"
-            ) / self._samples.size
+            return self._law.cdf(x)
+        out = np.searchsorted(
+            self._samples, np.asarray(x, dtype=float), side="right"
+        ) / self._samples.size
         return float(out) if np.isscalar(x) else np.asarray(out, dtype=float)
 
     def sf(self, x: ArrayLike) -> ArrayLike:
         """Evaluate the empirical survival function ``1 - F(x)``."""
-        x_arr = np.asarray(x, dtype=float)
         if self.method == "histogram":
-            out = np.interp(
-                x_arr, self._cdf_x, self._sf_y, left=1.0, right=0.0
+            return self._law.sf(x)
+        n = self._samples.size
+        out = (
+            n - np.searchsorted(
+                self._samples, np.asarray(x, dtype=float), side="right"
             )
-        else:
-            n = self._samples.size
-            out = (n - np.searchsorted(self._samples, x_arr, side="right")) / n
+        ) / n
         return float(out) if np.isscalar(x) else np.asarray(out, dtype=float)
 
     def pdf(self, x: ArrayLike) -> ArrayLike:
@@ -122,55 +241,42 @@ class EmpiricalDistribution(MarginalDistribution):
         for ``"exact"`` it is the slope of the linear interpolation
         between order statistics that :func:`numpy.quantile` uses.
         """
-        x_arr = np.asarray(x, dtype=float)
         if self.method == "histogram":
-            knots = self._cdf_x
-            mass = np.diff(self._cdf_y)
-        else:
-            knots = self._samples
-            mass = np.full(knots.size - 1, 1.0 / (knots.size - 1))
-        k = np.searchsorted(knots, x_arr, side="right") - 1
-        inside = (k >= 0) & (k < mass.size)
-        k = np.clip(k, 0, mass.size - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            density = mass[k] / (knots[k + 1] - knots[k])
-        out = np.where(inside, density, 0.0)
-        return float(out) if np.isscalar(x) else out
+            return self._law.pdf(x)
+        knots = self._samples
+        return _piecewise_density(
+            knots, np.full(knots.size - 1, 1.0 / (knots.size - 1)), x
+        )
 
     def ppf(self, q: ArrayLike) -> ArrayLike:
         """Invert the empirical CDF at probability levels ``q``."""
-        q_arr = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
         if self.method == "histogram":
-            out = np.interp(q_arr, self._cdf_y, self._cdf_x)
-        else:
-            out = np.quantile(self._samples, q_arr)
+            return self._law.ppf(q)
+        q_arr = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
+        out = np.quantile(self._samples, q_arr)
         return float(out) if np.isscalar(q) else np.asarray(out, dtype=float)
 
     def isf(self, q: ArrayLike) -> ArrayLike:
         """Invert the empirical survival function at tail masses ``q``."""
-        q_arr = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
         if self.method == "histogram":
-            out = np.interp(q_arr, self._sf_y[::-1], self._cdf_x[::-1])
-        else:
-            out = np.quantile(self._samples, 1.0 - q_arr)
+            return self._law.isf(q)
+        q_arr = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
+        out = np.quantile(self._samples, 1.0 - q_arr)
         return float(out) if np.isscalar(q) else np.asarray(out, dtype=float)
 
     def breakpoints(self) -> np.ndarray:
         """The knots of the inverted CDF: interior bin edges' masses for
         ``"histogram"``, the order statistics' levels for ``"exact"``."""
         if self.method == "histogram":
-            return np.unique(self._cdf_y[1:-1])
+            return self._law.breakpoints()
         n = self._samples.size
         return np.arange(1, n - 1) / (n - 1)
 
     def _table_key(self) -> tuple:
         if self.method == "histogram":
-            data = (self._cdf_x, self._histogram.frequencies)
-        else:
-            data = (self._samples,)
+            return self._law._table_key()
         digest = hashlib.blake2b(digest_size=16)
-        for array in data:
-            digest.update(array.tobytes())
+        digest.update(self._samples.tobytes())
         return (self.method, digest.digest())
 
     def __repr__(self) -> str:

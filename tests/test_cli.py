@@ -445,3 +445,60 @@ class TestSimulateAggregateProcesses:
             "processes=2", "processes=1"
         ) == serial
         assert "processes=2" in pooled
+
+
+# A grid that cannot get hits: twisted far below the mean, the
+# background never fills the buffer.
+HOPELESS_ARGS = [
+    "--max-lag", "100",
+    "--buffers", "5",
+    "--twists", "-8", "-6",
+    "--replications", "20",
+    "--seed", "3",
+]
+
+
+class TestTwistGridFailure:
+    @pytest.mark.parametrize("num_sources", ["1", "64"])
+    def test_hopeless_grid_names_twists_flag(
+        self, small_trace_file, capsys, num_sources
+    ):
+        with pytest.warns(Warning):
+            code = main(
+                ["simulate", str(small_trace_file)] + HOPELESS_ARGS
+                + ["--num-sources", num_sources]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--twists" in err
+        assert "x* = " in err
+        assert "e.g. --twists 0 " in err
+
+    def test_python_m_repro_exit_code_and_warning_location(
+        self, small_trace_file
+    ):
+        # Under ``python -m repro`` the SimulationWarning must name the
+        # package's CLI frame, not the interpreter's ``<frozen runpy>``.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate",
+             str(small_trace_file)] + HOPELESS_ARGS,
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 1
+        assert "--twists" in result.stderr
+        warning_lines = [
+            line for line in result.stderr.splitlines()
+            if "SimulationWarning" in line
+        ]
+        assert warning_lines
+        for line in warning_lines:
+            assert os.path.join("repro", "cli.py") in line, line
+            assert "<frozen" not in line
